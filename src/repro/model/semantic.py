@@ -8,6 +8,7 @@ call graph and — when inputs are supplied — dynamic runtime information
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -151,7 +152,12 @@ def build_semantic_model(
             by_name.setdefault(f.name, []).append(f.qualname)
 
     if fn is not None:
-        model.line_profile = profile_function(fn, args, kwargs)
+        # every dynamic run gets its own deep copy of the inputs: the
+        # analysed function may mutate them, and neither the caller's
+        # values nor the next run may see that
+        model.line_profile = profile_function(
+            fn, *copy.deepcopy((args, kwargs))
+        )
 
     for loop_stmt in (s for s in func_ir.walk() if s.is_loop):
         loop = loop_info(loop_stmt)
@@ -176,7 +182,10 @@ def build_semantic_model(
                 merged.update(run_env)
                 run_env = merged
             try:
-                trace = trace_loop(func_ir, loop.sid, args, kwargs, run_env)
+                trace = trace_loop(
+                    func_ir, loop.sid, *copy.deepcopy((args, kwargs)),
+                    run_env,
+                )
                 deps = refine_dependences(static, trace)
             except Exception:
                 trace = None  # fall back to the static graph

@@ -65,7 +65,6 @@ from repro.runtime.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    active_registry,
     last_metrics,
     metrics_session,
     parse_openmetrics,
@@ -74,7 +73,6 @@ from repro.runtime.metrics import (
 )
 from repro.runtime.profiler import (
     SamplingProfiler,
-    active_profiler,
     decompose,
     last_profile,
     profile_session,
@@ -143,7 +141,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "active_registry",
     "last_metrics",
     "metrics_session",
     "parse_openmetrics",
@@ -152,7 +149,6 @@ __all__ = [
     "FlightRecorder",
     "flight_path",
     "SamplingProfiler",
-    "active_profiler",
     "decompose",
     "last_profile",
     "profile_session",

@@ -94,6 +94,27 @@ BACKENDS = ("serial", "thread", "process")
 #: canonical tuning-parameter name (the performance knobs' sibling)
 BACKEND = "Backend"
 
+#: the telemetry sinks riding the chunk-result road, keyed by the name
+#: their specs and deltas travel under (see :mod:`repro.runtime.telemetry`)
+SINKS = {
+    "trace": TraceCollector,
+    "metrics": MetricsRegistry,
+    "profile": SamplingProfiler,
+}
+
+
+def _sinks(
+    trace: TraceCollector | None,
+    metrics: MetricsRegistry | None,
+    profiler: SamplingProfiler | None,
+) -> dict[str, Any]:
+    """A run's enabled sinks, keyed like :data:`SINKS`."""
+    return {
+        name: sink
+        for name, sink in zip(SINKS, (trace, metrics, profiler))
+        if sink is not None
+    }
+
 
 class TuningError(ValueError):
     """A tuning parameter value is outside its legal domain.
@@ -503,21 +524,13 @@ class ChunkResult:
     #: worker-side chaos-injection counter deltas for this chunk
     chaos: dict[str, int] | None
     failed: bool
-    #: worker-side span dicts drained after the chunk (trace parity) —
-    #: defaulted so pre-trace positional construction stays valid
-    spans: list | None = None
-    spans_dropped: int = 0
+    #: worker-side sink deltas drained after the chunk, keyed like
+    #: :data:`SINKS` — deduped whole with the chunk, so span, metric and
+    #: sample accounting stays exactly-once under recovery
+    telemetry: dict[str, Any] | None = None
     #: values live in the shared output region, not in ``values`` — the
     #: collector materializes them exactly once at absorb time
     shm: bool = False
-    #: worker-side metric delta drained after the chunk — rides the same
-    #: road as ``spans`` and is deduped whole with the chunk, so metric
-    #: accounting stays exactly-once under recovery
-    metrics: list | None = None
-    #: worker-side profiler delta (folded stacks + work records) drained
-    #: after the chunk — same road, same whole-chunk dedup, so sample
-    #: accounting stays exactly-once under recovery
-    profile: tuple | None = None
 
 
 @dataclass
@@ -548,8 +561,8 @@ class ProcessPayload:
     """A prepared work payload, split along the ship-once seam.
 
     ``kernel_blob`` is everything constant across calls with the same
-    loop body (the body, policy, chaos spec, reduce op, label, trace
-    spec) — a warm :class:`PoolSession` ships it to each worker once per
+    loop body (the body, policy, chaos spec, reduce op, label, telemetry
+    specs) — a warm :class:`PoolSession` ships it to each worker once per
     distinct ``digest`` and refers to it by digest afterwards.
     ``call_blob`` is the per-call delta: the input spec (inline values
     or a shared-memory block reference), the output-region spec, and the
@@ -559,9 +572,6 @@ class ProcessPayload:
     kernel_blob: bytes
     call_blob: bytes
     digest: str
-
-    def __bool__(self) -> bool:  # truthy like the old non-None blob
-        return True
 
 
 def build_process_payload(
@@ -597,9 +607,10 @@ def build_process_payload(
             chaos.spec() if chaos is not None else None,
             ship_blob(reduce_op) if reduce_op is not None else None,
             label,
-            trace.spec() if trace is not None else None,
-            metrics.spec() if metrics is not None else None,
-            profiler.spec() if profiler is not None else None,
+            {
+                name: sink.spec()
+                for name, sink in _sinks(trace, metrics, profiler).items()
+            } or None,
         )
         kernel_blob = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
         if input_spec is None:
@@ -737,23 +748,15 @@ _GEN_MASK = 0xFFFFFFFF
 
 def _load_kernel(kernel_blob: bytes) -> tuple:
     """Unpickle a kernel: (body, policy, chaos_spec, reduce_op, label,
-    trace_spec, metrics_spec, profiler_spec).  Session workers cache the
-    result per digest — the body (possibly a :class:`ShippedFunction`)
-    is rebuilt once per kernel, not once per call."""
-    loaded = pickle.loads(kernel_blob)
-    # pre-profiler kernels are 7-tuples; a warm session's cached digest
-    # may replay one across the version seam, so default the tail
-    (
-        body_blob, policy, chaos_spec, reduce_blob, label,
-        trace_spec, metrics_spec,
-    ) = loaded[:7]
-    profiler_spec = loaded[7] if len(loaded) > 7 else None
+    telemetry_specs).  Session workers cache the result per digest — the
+    body (possibly a :class:`ShippedFunction`) is rebuilt once per
+    kernel, not once per call."""
+    body_blob, policy, chaos_spec, reduce_blob, label, specs = pickle.loads(
+        kernel_blob
+    )
     body = pickle.loads(body_blob)
     reduce_op = pickle.loads(reduce_blob) if reduce_blob is not None else None
-    return (
-        body, policy, chaos_spec, reduce_op, label, trace_spec,
-        metrics_spec, profiler_spec,
-    )
+    return body, policy, chaos_spec, reduce_op, label, specs
 
 
 def _resolve_input(input_spec: tuple[str, Any]):
@@ -811,35 +814,23 @@ def _serve_call(
     is announced on ``result_q`` before the chunk runs, which is the
     ownership ledger the parent's recovery logic reads.
     """
-    (
-        body, policy, chaos_spec, reduce_op, label, trace_spec,
-        metrics_spec, profiler_spec,
-    ) = kernel
+    body, policy, chaos_spec, reduce_op, label, specs = kernel
     injector = (
         ChaosInjector.from_spec(chaos_spec) if chaos_spec is not None else None
     )
-    trace = None
-    if trace_spec is not None:
-        # worker-side collection, drained per chunk: span parity with the
-        # thread backend travels the same road as the error ledger
-        trace = TraceCollector.from_spec(trace_spec)
-        trace.worker_label = f"{label}-w{uid}@pid{os.getpid()}"
-        if injector is not None:
-            injector.trace = trace
-    wmetrics = None
-    if metrics_spec is not None:
-        # same chunked-merge road as spans: collect locally, drain per
-        # chunk, let the parent's first-result-wins dedup keep totals
-        # exactly-once under respawn/hedge duplicates
-        wmetrics = MetricsRegistry.from_spec(metrics_spec)
-        if injector is not None:
-            injector.metrics = wmetrics
-    wprofiler = None
-    if profiler_spec is not None:
-        # worker-side sampling, drained per chunk: the samples take the
-        # same chunked road as spans/metrics and inherit its dedup
-        wprofiler = SamplingProfiler.from_spec(profiler_spec)
-        wprofiler.worker_label = f"{label}-w{uid}@pid{os.getpid()}"
+    # worker-side sinks, drained per chunk into the chunk result: the
+    # parent's first-result-wins dedup then keeps every sink exactly-once
+    # under respawn/hedge duplicates
+    sinks = {
+        name: SINKS[name].from_spec(spec)
+        for name, spec in (specs or {}).items()
+    }
+    trace, wmetrics, wprofiler = (sinks.get(name) for name in SINKS)
+    for sink in (trace, wprofiler):
+        if sink is not None:
+            sink.worker_label = f"{label}-w{uid}@pid{os.getpid()}"
+    if injector is not None:
+        injector.trace, injector.metrics = trace, wmetrics
 
     def should_stop() -> bool:
         return stop_event.is_set() or (
@@ -930,16 +921,13 @@ def _serve_call(
         if injector is not None:
             after = injector.stats()
             delta = {key: after[key] - before[key] for key in after}
-        metrics_delta = None
         if wmetrics is not None:
             count_chunk_counters(wmetrics, label, counters)
-            metrics_delta = wmetrics.drain()
-        profile_delta = (
-            wprofiler.drain() if wprofiler is not None else None
-        )
-        spans, spans_dropped = (
-            trace.drain() if trace is not None else (None, 0)
-        )
+        telemetry = {}
+        for name, sink in sinks.items():
+            drained = sink.drain()
+            if drained is not None:
+                telemetry[name] = drained
         in_shm = False
         if (
             out is not None
@@ -952,7 +940,7 @@ def _serve_call(
             in_shm = out.write(k, chunks[k][0], values)
         chunk = ChunkResult(
             k, [] if in_shm else values, records, counters, delta, failed,
-            spans, spans_dropped, in_shm, metrics_delta, profile_delta,
+            telemetry or None, in_shm,
         )
         try:
             msg = pickle.dumps(("chunk", chunk, gen))
@@ -969,10 +957,7 @@ def _serve_call(
                 counters,
                 delta,
                 True,
-                spans,
-                spans_dropped,
-                metrics=metrics_delta,
-                profile=profile_delta,
+                telemetry or None,
             )
             msg = pickle.dumps(("chunk", chunk, gen))
         result_q.put(msg)
@@ -1346,7 +1331,7 @@ def _pool_wait(result_q, procs: Sequence[Any], timeout: float) -> None:
 
 
 def run_process_chunks(
-    payload: "ProcessPayload | bytes",
+    payload: ProcessPayload,
     chunks: Sequence[tuple[int, int]] | int,
     *,
     workers: int,
@@ -1405,11 +1390,6 @@ def run_process_chunks(
       lock, but still runs the per-call generation protocol
       (``begin_call``/``end_call``).
     """
-    if isinstance(payload, bytes):
-        kernel_blob, call_blob = pickle.loads(payload)
-        payload = ProcessPayload(
-            kernel_blob, call_blob, hashlib.sha1(kernel_blob).hexdigest()
-        )
     if isinstance(chunks, int):
         chunks = [(k, k + 1) for k in range(chunks)]
     bounds = list(chunks)
@@ -1471,6 +1451,7 @@ def run_process_chunks(
     failed_seen = False
 
     gen = 0  # reassigned by begin_call for a warm session
+    sinks = _sinks(trace, metrics, profiler)
 
     def spawn(assigned: list[tuple[int, int]] | None = None):
         """Start one worker; in a cold pool, uid doubles as the
@@ -1565,19 +1546,17 @@ def run_process_chunks(
             if k in delivered or k in skip:
                 # at-least-once dedup: a hedge loser or a redispatch
                 # duplicate — the first result won; dropping the loser
-                # whole (values, counters, chaos deltas, spans, metric
-                # deltas) keeps parent-side accounting exactly-once
+                # whole (values, counters, chaos deltas, telemetry)
+                # keeps parent-side accounting exactly-once
                 if metrics is not None:
                     metrics.inc("chunks_deduped", stage=label)
                 return
             delivered[k] = chunk
-            if metrics is not None and chunk.metrics is not None:
-                metrics.absorb(chunk.metrics)
-            if profiler is not None and chunk.profile is not None:
-                # behind the dedup above, so a chunk's samples and work
-                # records land exactly once no matter how many workers
-                # raced to produce them
-                profiler.absorb(chunk.profile)
+            # the one absorb site for every sink, behind the dedup above:
+            # a chunk's spans, metric deltas and samples land exactly
+            # once however many workers raced to produce them
+            for name, telemetry in (chunk.telemetry or {}).items():
+                sinks[name].absorb(telemetry)
             if chunk.failed:
                 failed_seen = True
                 # warm workers leave the stop event to the parent (a

@@ -52,7 +52,6 @@ import os
 import pickle
 import struct
 import threading
-import time
 import zlib
 from pathlib import Path
 from typing import Any, Iterator
@@ -62,15 +61,6 @@ MAGIC = b"RPJ1"
 
 #: per-record frame header: payload length, payload crc32
 _FRAME = struct.Struct("<II")
-
-#: the journal's flush disciplines (see :meth:`ChunkJournal.create`)
-FLUSH_MODES = ("chunk", "batch")
-
-#: batch mode: flush after this many unflushed chunk records ...
-_BATCH_COUNT = 16
-
-#: ... or once the oldest unflushed record is this many seconds old
-_BATCH_SECS = 0.005
 
 
 class CheckpointError(RuntimeError):
@@ -126,20 +116,12 @@ class ChunkJournal:
         fh: io.BufferedWriter | None,
         shape: dict[str, Any] | None,
         completed: dict[int, dict[str, Any]],
-        flush: str = "chunk",
     ) -> None:
-        if flush not in FLUSH_MODES:
-            raise CheckpointError(
-                f"flush mode must be one of {FLUSH_MODES}, got {flush!r}"
-            )
         self.path = Path(path)
         self._fh = fh
         self._shape = shape
         self._completed = completed
         self._lock = threading.Lock()
-        self.flush_mode = flush
-        self._pending = 0
-        self._pending_since = 0.0
         #: chunk index -> (lo, hi) bounds planned by a variable-size
         #: schedule (populated by :meth:`plan` and on :meth:`resume`)
         self._planned: dict[int, tuple[int, int]] = {}
@@ -149,39 +131,29 @@ class ChunkJournal:
         self.recorded = 0
         #: optional duck-typed metrics registry (``inc``-shaped, see
         #: repro.runtime.metrics); when set, appends bump
-        #: ``checkpoint_records`` / ``checkpoint_bytes`` and every real
-        #: flush bumps ``checkpoint_flushes`` — the batch-vs-chunk flush
-        #: trade becomes observable instead of inferred
+        #: ``checkpoint_records`` / ``checkpoint_bytes`` and every flush
+        #: bumps ``checkpoint_flushes``
         self.metrics: Any = None
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, path: str | Path, flush: str = "chunk") -> "ChunkJournal":
+    def create(cls, path: str | Path) -> "ChunkJournal":
         """Start a fresh journal, truncating any existing file.
 
-        ``flush="chunk"`` (the strict default, what ``repro run
-        --checkpoint`` uses) flushes every record as it lands, so the
-        journal never trails delivery by more than the record being
-        written.  ``flush="batch"`` coalesces: records are flushed once
-        ``_BATCH_COUNT`` have accumulated or the oldest unflushed record
-        is ``_BATCH_SECS`` old, whichever comes first — trading a
-        bounded at-risk window for one syscall per batch on
-        small-chunk/high-rate runs.  :meth:`close` always flushes, and
-        torn-tail truncation semantics are identical in both modes: a
-        kill mid-batch loses only unflushed *whole* records plus at most
-        one torn frame, which :meth:`resume` discards by checksum.
+        Every record is flushed as it lands, so the journal never trails
+        delivery by more than the record being written.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(path, "wb")
         fh.write(MAGIC)
         fh.flush()
-        return cls(path, fh, None, {}, flush=flush)
+        return cls(path, fh, None, {})
 
     @classmethod
-    def resume(cls, path: str | Path, flush: str = "chunk") -> "ChunkJournal":
+    def resume(cls, path: str | Path) -> "ChunkJournal":
         """Reopen an existing journal for appending.
 
         A torn tail (killed mid-write) is detected by checksum and
@@ -214,7 +186,7 @@ class ChunkJournal:
                 for i, (lo, hi) in enumerate(record["bounds"]):
                     planned[base + i] = (int(lo), int(hi))
         fh = open(path, "ab")
-        journal = cls(path, fh, shape, completed, flush=flush)
+        journal = cls(path, fh, shape, completed)
         journal._planned = planned
         return journal
 
@@ -331,7 +303,7 @@ class ChunkJournal:
     def record(
         self, index: int, lo: int, hi: int, values: list[Any]
     ) -> None:
-        """Append one completed chunk (flushed per the journal's mode).
+        """Append one completed chunk, flushed before this returns.
 
         Flush pushes the record into the OS page cache, which survives
         the *process* being killed — the threat model here.  Surviving
@@ -353,41 +325,13 @@ class ChunkJournal:
                     f"journal {self.path} is not open for appending"
                 )
             self._fh.write(framed)
-            self._maybe_flush()
+            self._fh.flush()
             self._completed[record["index"]] = record
             self.recorded += 1
         if self.metrics is not None:
             self.metrics.inc("checkpoint_records")
             self.metrics.inc("checkpoint_bytes", len(framed))
-
-    def _maybe_flush(self) -> None:
-        """Apply the flush discipline; caller holds ``self._lock``."""
-        if self.flush_mode == "chunk":
-            self._flush_locked()
-            return
-        now = time.monotonic()
-        if self._pending == 0:
-            self._pending_since = now
-        self._pending += 1
-        if (
-            self._pending >= _BATCH_COUNT
-            or now - self._pending_since >= _BATCH_SECS
-        ):
-            self._flush_locked()
-            self._pending = 0
-
-    def _flush_locked(self) -> None:
-        """Flush and count it; caller holds ``self._lock``."""
-        self._fh.flush()
-        if self.metrics is not None:
             self.metrics.inc("checkpoint_flushes")
-
-    def flush(self) -> None:
-        """Force any coalesced records to the OS (batch mode)."""
-        with self._lock:
-            if self._fh is not None:
-                self._flush_locked()
-                self._pending = 0
 
     def _append(self, record: dict[str, Any]) -> None:
         payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
@@ -412,7 +356,6 @@ class ChunkJournal:
                     pass
                 self._fh.close()
                 self._fh = None
-                self._pending = 0
 
     def __enter__(self) -> "ChunkJournal":
         return self

@@ -28,7 +28,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 #: the three supported poison-element dispositions
 ON_ERROR_MODES = ("fail_fast", "skip", "fallback")
@@ -105,6 +105,25 @@ class CancellationToken:
     def wait(self, timeout: float) -> bool:
         """Sleep up to ``timeout`` seconds; True if cancelled meanwhile."""
         return self._event.wait(timeout)
+
+
+def raise_if_stopped(
+    errors: Sequence[BaseException],
+    cancel: CancellationToken | None,
+    trace: Any = None,
+    stage: str = "loop",
+) -> None:
+    """Raise a supervised run's first error, else a fired ``cancel`` as
+    :class:`CancelledError` — recorded as a ``cancel`` span on the
+    duck-typed ``trace`` collector."""
+    if errors:
+        raise errors[0]
+    if cancel is not None and cancel.cancelled:
+        if trace is not None:
+            trace.instant(
+                "cancel", stage, -1, reason=cancel.reason or "cancelled"
+            )
+        raise CancelledError(cancel.reason or "cancelled")
 
 
 @dataclass

@@ -38,7 +38,7 @@ from repro.runtime.backend import (
     run_process_chunks,
     ship_callable,
 )
-from repro.runtime.faults import CancellationToken, CancelledError
+from repro.runtime.faults import CancellationToken, raise_if_stopped
 from repro.runtime.item import Item
 from repro.runtime.metrics import MetricsRegistry, resolve_registry
 from repro.runtime.profiler import SamplingProfiler, resolve_profiler
@@ -204,15 +204,7 @@ class MasterWorker:
             t.start()
         for t in threads:
             t.join()
-        if errors:
-            raise errors[0]
-        if cancel is not None and cancel.cancelled:
-            if trace is not None:
-                trace.instant(
-                    "cancel", self.name, -1,
-                    reason=cancel.reason or "cancelled",
-                )
-            raise CancelledError(cancel.reason or "cancelled")
+        raise_if_stopped(errors, cancel, trace, self.name)
         return results
 
     def _run_process(
@@ -264,8 +256,6 @@ class MasterWorker:
         first_error: BaseException | None = None
         for k in sorted(run.chunks):
             chunk = run.chunks[k]
-            if trace is not None and chunk.spans is not None:
-                trace.absorb(chunk.spans, chunk.spans_dropped)
             if chunk.failed:
                 if first_error is None:
                     first_error = chunk.records[0][1]
@@ -275,15 +265,10 @@ class MasterWorker:
             results[k] = chunk.values[0]
             if metrics is not None:
                 metrics.inc("tasks_completed", stage=self.name)
-        if first_error is not None:
-            raise first_error
-        if cancel is not None and cancel.cancelled:
-            if trace is not None:
-                trace.instant(
-                    "cancel", self.name, -1,
-                    reason=cancel.reason or "cancelled",
-                )
-            raise CancelledError(cancel.reason or "cancelled")
+        raise_if_stopped(
+            [first_error] if first_error is not None else [],
+            cancel, trace, self.name,
+        )
         missing = run.missing(len(chunks))
         if run.fatal or missing:
             raise RuntimeError(

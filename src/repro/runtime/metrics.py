@@ -36,8 +36,8 @@ snapshot as OpenMetrics v1 text (``# TYPE``/``# HELP`` framing,
 terminator).  :func:`parse_openmetrics` round-trips the samples, so CI
 can assert exports without a Prometheus install.
 
-Kept stdlib-only and import-free within the runtime package so every
-runtime module can use it without cycles.
+Kept stdlib-only, importing only :mod:`repro.runtime.telemetry` within
+the runtime package, so every runtime module can use it without cycles.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ import re
 import threading
 import time
 from typing import Any, Iterable
+
+from repro.runtime.telemetry import Sessions
 
 #: canonical tuning-parameter name (sibling of Trace/Backend/...)
 METRICS = "Metrics"
@@ -292,10 +294,8 @@ class MetricsRegistry:
                     m.count = 0
         return out or None
 
-    def absorb(self, delta: Iterable[tuple] | None) -> None:
+    def absorb(self, delta: Iterable[tuple]) -> None:
         """Fold a worker's drained delta into this (parent) registry."""
-        if not delta:
-            return
         for entry in delta:
             kind, name, lkey = entry[0], entry[1], entry[2]
             labels = dict(lkey)
@@ -570,76 +570,19 @@ def count_chunk_counters(
 # the active session (the --metrics-out CLI path)
 # ---------------------------------------------------------------------------
 
-_ACTIVE: list[MetricsRegistry] = []
-_ACTIVE_LOCK = threading.Lock()
-_LAST: MetricsRegistry | None = None
+_SESSIONS = Sessions(MetricsRegistry)
+
+#: the most recent session / ``Metrics@...``-run registry
+last_metrics = _SESSIONS.last
+#: explicit registry, else the active session, else — with ``enabled``
+#: (the ``Metrics@...`` knob) — a fresh ``MetricsRegistry()``
+resolve_registry = _SESSIONS.resolve
 
 
-class metrics_session:
-    """Context manager: every supervised run inside records metrics.
-
-    Sessions nest (innermost wins) and are process-wide, not
-    thread-local — stage workers spawned by a measured run must see the
-    registry.  Mirrors :class:`repro.runtime.trace.trace_session`.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        # `or` would discard an explicitly passed *empty* registry
-        # (__len__ makes it falsy); only None means "build one"
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def __enter__(self) -> MetricsRegistry:
-        with _ACTIVE_LOCK:
-            _ACTIVE.append(self.registry)
-        return self.registry
-
-    def __exit__(self, *exc: Any) -> None:
-        global _LAST
-        with _ACTIVE_LOCK:
-            try:
-                _ACTIVE.remove(self.registry)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            _LAST = self.registry
-
-
-def active_registry() -> MetricsRegistry | None:
-    """The innermost active session's registry, if any."""
-    with _ACTIVE_LOCK:
-        return _ACTIVE[-1] if _ACTIVE else None
-
-
-def set_last_metrics(registry: MetricsRegistry) -> None:
-    """Publish a registry created outside a session (``Metrics@loop``)."""
-    global _LAST
-    with _ACTIVE_LOCK:
-        _LAST = registry
-
-
-def last_metrics() -> MetricsRegistry | None:
-    """The most recent session / ``Metrics@...``-run registry."""
-    with _ACTIVE_LOCK:
-        return _LAST
-
-
-def resolve_registry(
-    explicit: "MetricsRegistry | None", enabled: bool = False
-) -> MetricsRegistry | None:
-    """The registry a run should record into.
-
-    Priority: an explicitly passed registry, then the active session,
-    then — only when the component's ``Metrics@...`` knob is on — a
-    fresh registry (published via :func:`set_last_metrics`).  Returns
-    ``None`` when metrics are off: the disabled path is one ``is None``
-    check.
-    """
-    if explicit is not None:
-        return explicit
-    session = active_registry()
-    if session is not None:
-        return session
-    if enabled:
-        registry = MetricsRegistry()
-        set_last_metrics(registry)
-        return registry
-    return None
+def metrics_session(registry: MetricsRegistry | None = None):
+    """Context manager: every supervised run inside records metrics."""
+    # `or` would discard an explicitly passed *empty* registry
+    # (__len__ makes it falsy); only None means "build one"
+    return _SESSIONS.session(
+        registry if registry is not None else MetricsRegistry()
+    )

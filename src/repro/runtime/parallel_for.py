@@ -65,6 +65,7 @@ from repro.runtime.faults import (
     CancelledError,
     ErrorRecord,
     FaultPolicy,
+    raise_if_stopped,
 )
 from repro.runtime.metrics import (
     MetricsRegistry,
@@ -143,22 +144,6 @@ def _stopped(
     errors: list[BaseException], cancel: CancellationToken | None
 ) -> bool:
     return bool(errors) or (cancel is not None and cancel.cancelled)
-
-
-def _finish(
-    errors: list[BaseException],
-    cancel: CancellationToken | None,
-    trace: TraceCollector | None = None,
-    stage: str = "loop",
-) -> None:
-    if errors:
-        raise errors[0]
-    if cancel is not None and cancel.cancelled:
-        if trace is not None:
-            trace.instant(
-                "cancel", stage, -1, reason=cancel.reason or "cancelled"
-            )
-        raise CancelledError(cancel.reason or "cancelled")
 
 
 def _record(
@@ -275,10 +260,11 @@ def _assemble_process_run(
 ) -> None:
     """Fold a :class:`~repro.runtime.backend.ProcessRun` into caller state.
 
-    Fills ``results`` slots per chunk, reconstructs ledger records,
-    absorbs worker-side span ledgers, and re-raises in the same priority
-    order the thread pool uses: first element error, then cancellation,
-    then pool-infrastructure failure.
+    Fills ``results`` slots per chunk, reconstructs ledger records and
+    chaos counters, and re-raises in the same priority order the thread
+    pool uses: first element error, then cancellation, then
+    pool-infrastructure failure.  (Worker telemetry was already absorbed
+    by the collector, behind its dedup.)
     """
     first_error: BaseException | None = None
     first_error_chunk: int | None = None
@@ -299,16 +285,10 @@ def _assemble_process_run(
                     break
         if chaos is not None and chunk.chaos:
             chaos.absorb(chunk.chaos)
-        if trace is not None and chunk.spans is not None:
-            trace.absorb(chunk.spans, chunk.spans_dropped)
-    if first_error is not None:
-        raise first_error
-    if cancel is not None and cancel.cancelled:
-        if trace is not None:
-            trace.instant(
-                "cancel", stage, -1, reason=cancel.reason or "cancelled"
-            )
-        raise CancelledError(cancel.reason or "cancelled")
+    raise_if_stopped(
+        [first_error] if first_error is not None else [],
+        cancel, trace=trace, stage=stage,
+    )
     if run.fatal:
         raise RuntimeError(f"worker process failed to start: {run.fatal[0]}")
     missing = run.missing(len(chunks), completed)
@@ -542,7 +522,7 @@ def _adaptive_for(
             t.start()
         for t in threads:
             t.join()
-        _finish(errors, cancel, trace=trace)
+        raise_if_stopped(errors, cancel, trace=trace)
         return WaveResult(
             latencies=latencies, elapsed=time.monotonic() - wave_started
         )
@@ -793,19 +773,25 @@ def parallel_for(
         element = _make_element(
             body, policy, cancel, ledger, None, trace, metrics=metrics
         )
-        if checkpoint is not None and n:
-            # chunk-wise so progress is journaled at the same granularity
-            # as the pool backends; the element-wise hot path below stays
-            # untouched when checkpointing is off
-            out_c: list[Any] = [None] * n
+        if n and (checkpoint is not None or profiler is not None):
+            # chunk-wise only when a chunk consumer exists: journal
+            # records and profile work windows then match the pooled
+            # backends one per chunk; the element-wise hot loop below
+            # stays untouched otherwise
+            out: list[Any] = [None] * n
+            # resolve the chunk counters once: a bump is then one lock+add,
+            # not a series lookup per (possibly one-element) chunk
+            dispatched = completed = None
+            if metrics is not None:
+                dispatched = metrics.counter("chunks_dispatched", stage="loop")
+                completed = metrics.counter("chunks_completed", stage="loop")
             for k, (lo, hi) in enumerate(chunks):
                 if k in journal_done:
                     done_lo, _done_hi, done_vals = journal_done[k]
-                    for offset, value in enumerate(done_vals):
-                        out_c[done_lo + offset] = value
+                    out[done_lo:done_lo + len(done_vals)] = done_vals
                     continue
-                if metrics is not None:
-                    metrics.inc("chunks_dispatched", stage="loop")
+                if dispatched is not None:
+                    dispatched.inc()
                 work = (
                     profiler.work("loop", k)
                     if profiler is not None
@@ -814,46 +800,20 @@ def parallel_for(
                 with work:
                     for i in range(lo, hi):
                         if cancel is not None:
-                            if trace is not None and cancel.cancelled:
-                                trace.instant(
-                                    "cancel", "loop", -1,
-                                    reason=cancel.reason or "cancelled",
-                                )
-                            cancel.raise_if_cancelled()
-                        out_c[i] = element(i, vals[i])
-                if metrics is not None:
-                    metrics.inc("chunks_completed", stage="loop")
-                checkpoint.record(k, lo, hi, out_c[lo:hi])
-                if trace is not None:
-                    trace.instant("checkpoint", "loop", lo, chunk=k)
-            return out_c
+                            raise_if_stopped((), cancel, trace)
+                        out[i] = element(i, vals[i])
+                if completed is not None:
+                    completed.inc()
+                if checkpoint is not None:
+                    checkpoint.record(k, lo, hi, out[lo:hi])
+                    if trace is not None:
+                        trace.instant("checkpoint", "loop", lo, chunk=k)
+            return out
         out = []
-        if profiler is not None and n:
-            # chunk-granular only when sampling is on: one work record
-            # per logical chunk keeps profile accounting identical to
-            # the pooled backends; the profiler-off hot loop below stays
-            # untouched
-            for k, (lo, hi) in enumerate(chunks):
-                with profiler.work("loop", k):
-                    for i in range(lo, hi):
-                        if cancel is not None:
-                            if trace is not None and cancel.cancelled:
-                                trace.instant(
-                                    "cancel", "loop", -1,
-                                    reason=cancel.reason or "cancelled",
-                                )
-                            cancel.raise_if_cancelled()
-                        out.append(element(i, vals[i]))
-        else:
-            for i, v in enumerate(vals):
-                if cancel is not None:
-                    if trace is not None and cancel.cancelled:
-                        trace.instant(
-                            "cancel", "loop", -1,
-                            reason=cancel.reason or "cancelled",
-                        )
-                    cancel.raise_if_cancelled()
-                out.append(element(i, v))
+        for i, v in enumerate(vals):
+            if cancel is not None:
+                raise_if_stopped((), cancel, trace)
+            out.append(element(i, v))
         if metrics is not None and n:
             # the element-wise hot loop has no chunk structure; account
             # the logical chunking wholesale so chunk-counter totals
@@ -948,7 +908,7 @@ def parallel_for(
         t.start()
     for t in threads:
         t.join()
-    _finish(errors, cancel, trace=trace)
+    raise_if_stopped(errors, cancel, trace=trace)
     return results
 
 
@@ -995,18 +955,10 @@ def _process_reduce(
             recovery.extend(run.recovery)
         for k in sorted(run.chunks):
             chunk = run.chunks[k]
-            if trace is not None and chunk.spans is not None:
-                trace.absorb(chunk.spans, chunk.spans_dropped)
             if chunk.failed:
                 raise chunk.records[0][1]
             partials[k] = chunk.values[0]
-        if cancel is not None and cancel.cancelled:
-            if trace is not None:
-                trace.instant(
-                    "cancel", "reduce", -1,
-                    reason=cancel.reason or "cancelled",
-                )
-            raise CancelledError(cancel.reason or "cancelled")
+        raise_if_stopped([], cancel, trace=trace, stage="reduce")
         if run.fatal or run.missing(len(chunks), journal_skip):
             raise RuntimeError(
                 "worker pool lost reduce partials: "
@@ -1210,7 +1162,7 @@ def parallel_reduce(
         t.start()
     for t in threads:
         t.join()
-    _finish(errors, cancel, trace=trace, stage="reduce")
+    raise_if_stopped(errors, cancel, trace=trace, stage="reduce")
 
     acc = init
     for p in partials:

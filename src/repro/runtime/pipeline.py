@@ -70,6 +70,14 @@ _DEFAULT_POLICY = FaultPolicy()
 #: fault-policy keys tolerated for sibling-pattern targets in shared files
 _LOOP_TARGETS = ("loop", "workers")
 
+#: the telemetry knobs: tuning-parameter name -> (the run's sink
+#: attribute, sink type, resolver)
+_SINKS = {
+    "Trace": ("trace", TraceCollector, resolve_collector),
+    "Metrics": ("metrics", MetricsRegistry, resolve_registry),
+    "Profile": ("profile", SamplingProfiler, resolve_profiler),
+}
+
 
 class PipelineError(RuntimeError):
     """One or more stages failed; carries the full error report.
@@ -217,20 +225,15 @@ class Pipeline:
         self.output: list[Any] = []
         self._fusions: set[str] = set()
         self.stats: dict[str, Any] = {}
-        #: a collector, True (build one per run), or None (session/off);
-        #: also settable through the ``Trace@pipeline`` tuning parameter
-        self._trace_request: TraceCollector | bool | None = trace
-        #: the collector of the most recent run (None when tracing off)
+        #: per telemetry knob: a sink, True (build one per run), or None
+        #: (session/off); also settable through ``Trace@pipeline``,
+        #: ``Metrics@pipeline`` and ``Profile@pipeline``
+        self._requests: dict[str, Any] = {
+            "Trace": trace, "Metrics": metrics, "Profile": profile,
+        }
+        #: the sinks of the most recent run (None when that sink is off)
         self.trace: TraceCollector | None = None
-        #: a registry, True (build one per run), or None (session/off);
-        #: also settable through the ``Metrics@pipeline`` tuning parameter
-        self._metrics_request: MetricsRegistry | bool | None = metrics
-        #: the registry of the most recent run (None when metrics off)
         self.metrics: MetricsRegistry | None = None
-        #: a profiler, True (build one per run), or None (session/off);
-        #: also settable through the ``Profile@pipeline`` tuning parameter
-        self._profile_request: SamplingProfiler | bool | None = profile
-        #: the profiler of the most recent run (None when profiling off)
         self.profile: SamplingProfiler | None = None
         self._injector: Any = None
 
@@ -337,35 +340,15 @@ class Pipeline:
                         f"Backend targets the whole pipeline "
                         f"('Backend@pipeline'), got {key!r}"
                     )
-            elif pname == "Trace":
+            elif pname in _SINKS:
                 if target == "pipeline":
-                    self._trace_request = bool(value)
+                    self._requests[pname] = bool(value)
                 elif target in _LOOP_TARGETS:
-                    continue  # a sibling pattern's trace knob; tolerated
+                    continue  # a sibling pattern's telemetry knob; tolerated
                 else:
                     raise KeyError(
-                        f"Trace targets the whole pipeline "
-                        f"('Trace@pipeline'), got {key!r}"
-                    )
-            elif pname == "Metrics":
-                if target == "pipeline":
-                    self._metrics_request = bool(value)
-                elif target in _LOOP_TARGETS:
-                    continue  # a sibling pattern's metrics knob; tolerated
-                else:
-                    raise KeyError(
-                        f"Metrics targets the whole pipeline "
-                        f"('Metrics@pipeline'), got {key!r}"
-                    )
-            elif pname == "Profile":
-                if target == "pipeline":
-                    self._profile_request = bool(value)
-                elif target in _LOOP_TARGETS:
-                    continue  # a sibling pattern's profile knob; tolerated
-                else:
-                    raise KeyError(
-                        f"Profile targets the whole pipeline "
-                        f"('Profile@pipeline'), got {key!r}"
+                        f"{pname} targets the whole pipeline "
+                        f"('{pname}@pipeline'), got {key!r}"
                     )
             elif pname in ("NumWorkers", "ChunkSize", "Schedule"):
                 continue  # parameters of sibling patterns; tolerated in shared files
@@ -378,46 +361,19 @@ class Pipeline:
         for el in self.elements:
             injector.wrap_item(el)
 
-    def _resolve_trace(self) -> TraceCollector | None:
-        """The collector this run records into (None = tracing off)."""
-        explicit = (
-            self._trace_request
-            if isinstance(self._trace_request, TraceCollector)
-            else None
-        )
-        trace = resolve_collector(explicit, enabled=self._trace_request is True)
-        self.trace = trace
-        if trace is not None and self._injector is not None:
-            self._injector.trace = trace
-        return trace
-
-    def _resolve_metrics(self) -> MetricsRegistry | None:
-        """The registry this run counts into (None = metrics off)."""
-        explicit = (
-            self._metrics_request
-            if isinstance(self._metrics_request, MetricsRegistry)
-            else None
-        )
-        metrics = resolve_registry(
-            explicit, enabled=self._metrics_request is True
-        )
-        self.metrics = metrics
-        if metrics is not None and self._injector is not None:
-            self._injector.metrics = metrics
-        return metrics
-
-    def _resolve_profile(self) -> SamplingProfiler | None:
-        """The profiler this run samples into (None = profiling off)."""
-        explicit = (
-            self._profile_request
-            if isinstance(self._profile_request, SamplingProfiler)
-            else None
-        )
-        profiler = resolve_profiler(
-            explicit, enabled=self._profile_request is True
-        )
-        self.profile = profiler
-        return profiler
+    def _resolve_sinks(self) -> tuple[Any, Any, Any]:
+        """The ``(trace, metrics, profile)`` sinks this run records into
+        (None = that sink is off)."""
+        for pname, (attr, kind, resolve) in _SINKS.items():
+            request = self._requests[pname]
+            explicit = request if isinstance(request, kind) else None
+            setattr(self, attr, resolve(explicit, enabled=request is True))
+        if self._injector is not None:
+            if self.trace is not None:
+                self._injector.trace = self.trace
+            if self.metrics is not None:
+                self._injector.metrics = self.metrics
+        return self.trace, self.metrics, self.profile
 
     def _effective_elements(self) -> list[Element]:
         """Apply StageFusion pairs to the element list."""
@@ -479,9 +435,7 @@ class Pipeline:
         threaded path (a policy must not change meaning under
         ``SequentialExecution``)."""
         self.backend_events = []
-        trace = self._resolve_trace()
-        metrics = self._resolve_metrics()
-        profiler = self._resolve_profile()
+        trace, metrics, profiler = self._resolve_sinks()
         counters = {el.name: StageCounters() for el in elements}
         records: list[ErrorRecord] = []
         generated = 0
@@ -592,9 +546,7 @@ class Pipeline:
 
     def _stream_threaded(self, values, elements: list[Element]):
         self.backend_events = []
-        trace = self._resolve_trace()
-        metrics = self._resolve_metrics()
-        profiler = self._resolve_profile()
+        trace, metrics, profiler = self._resolve_sinks()
         # every stage worker comes from the backend seam, so lifting
         # whole stages onto processes later is a factory change, not a
         # pipeline rewrite; a requested process backend records its

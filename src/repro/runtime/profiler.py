@@ -14,9 +14,10 @@ hint engine (:mod:`repro.tuning.hints`) consume.
 
 Process parity rides the chunk-result road: a worker rebuilds the
 profiler from :meth:`spec`, samples itself, and :meth:`drain`\\ s after
-each chunk into the same :class:`~repro.runtime.backend.ChunkResult`
-that carries the chunk's values, spans and metric deltas.  The parent
-absorbs a chunk's profile under the identical first-result-wins
+each chunk into the ``telemetry`` dict of the same
+:class:`~repro.runtime.backend.ChunkResult` that carries the chunk's
+values, spans and metric deltas (see :mod:`repro.runtime.telemetry`).
+The parent absorbs a chunk's profile under the identical first-result-wins
 whole-chunk dedup, so sample accounting obeys the conservation
 invariants under respawn/hedge/redispatch exactly as metrics do: one
 work record per planned chunk, duplicates dropped whole, on every
@@ -36,6 +37,8 @@ import threading
 import time
 from pathlib import Path
 from typing import Any, Iterable
+
+from repro.runtime.telemetry import Sessions
 
 #: default sampling rate — a prime Hz so the sampler cannot phase-lock
 #: onto millisecond-periodic workloads and oversample one line
@@ -291,15 +294,13 @@ class SamplingProfiler:
             self.dropped = 0
         return (stacks, work, dropped)
 
-    def absorb(self, payload: tuple | None) -> None:
+    def absorb(self, payload: tuple) -> None:
         """Fold a worker's drained delta into this (parent) profiler.
 
         Callers dedup at the chunk level *before* absorbing — this is
         the same contract as metric deltas, so a hedge loser or a
         redispatch duplicate never double-counts a chunk's samples.
         """
-        if not payload:
-            return
         stacks, work, dropped = payload
         with self._lock:
             for stage, chunk, folded, count in stacks:
@@ -601,82 +602,21 @@ def decompose(
 # the active session (the --profile CLI path)
 # ---------------------------------------------------------------------------
 
-_ACTIVE: list[SamplingProfiler] = []
-_ACTIVE_LOCK = threading.Lock()
-_LAST: SamplingProfiler | None = None
+# a closing session stops its profiler's sampler thread
+_SESSIONS = Sessions(SamplingProfiler, on_exit=SamplingProfiler.stop)
+
+#: the most recent session / ``Profile@...``-run profiler
+last_profile = _SESSIONS.last
+#: explicit profiler, else the active session, else — with ``enabled``
+#: (the ``Profile@...`` knob) — a fresh ``SamplingProfiler(hz=...)``
+resolve_profiler = _SESSIONS.resolve
 
 
-class profile_session:
-    """Context manager: every supervised run inside is sampled.
-
-    Sessions nest (innermost wins) and are process-wide, mirroring
-    :class:`repro.runtime.trace.trace_session`.
-    """
-
-    def __init__(
-        self,
-        hz: float = DEFAULT_HZ,
-        profiler: SamplingProfiler | None = None,
-    ) -> None:
-        self.profiler = (
-            profiler if profiler is not None else SamplingProfiler(hz)
-        )
-
-    def __enter__(self) -> SamplingProfiler:
-        with _ACTIVE_LOCK:
-            _ACTIVE.append(self.profiler)
-        return self.profiler
-
-    def __exit__(self, *exc: Any) -> None:
-        global _LAST
-        with _ACTIVE_LOCK:
-            try:
-                _ACTIVE.remove(self.profiler)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            _LAST = self.profiler
-        self.profiler.stop()
-
-
-def active_profiler() -> SamplingProfiler | None:
-    """The innermost active session's profiler, if any."""
-    with _ACTIVE_LOCK:
-        return _ACTIVE[-1] if _ACTIVE else None
-
-
-def set_last_profile(profiler: SamplingProfiler) -> None:
-    """Publish a profiler created outside a session (``Profile@loop``)."""
-    global _LAST
-    with _ACTIVE_LOCK:
-        _LAST = profiler
-
-
-def last_profile() -> SamplingProfiler | None:
-    """The most recent session / ``Profile@...``-run profiler."""
-    with _ACTIVE_LOCK:
-        return _LAST
-
-
-def resolve_profiler(
-    explicit: "SamplingProfiler | None",
-    enabled: bool = False,
+def profile_session(
     hz: float = DEFAULT_HZ,
-) -> SamplingProfiler | None:
-    """The profiler a run should sample into.
-
-    Priority: an explicitly passed profiler, then the active session,
-    then — only when the component's ``Profile@...`` knob is on — a
-    fresh profiler (published via :func:`set_last_profile`).  ``None``
-    means profiling is off: the disabled path is one ``is None`` check
-    per chunk.
-    """
-    if explicit is not None:
-        return explicit
-    session = active_profiler()
-    if session is not None:
-        return session
-    if enabled:
-        profiler = SamplingProfiler(hz)
-        set_last_profile(profiler)
-        return profiler
-    return None
+    profiler: SamplingProfiler | None = None,
+):
+    """Context manager: every supervised run inside is sampled."""
+    return _SESSIONS.session(
+        profiler if profiler is not None else SamplingProfiler(hz)
+    )

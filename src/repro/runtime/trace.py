@@ -46,8 +46,8 @@ loadable in Perfetto / ``chrome://tracing``; ``PipelineStallError``
 carries the last-N spans per stage so a stall diagnosis shows *history*,
 not just the final occupancy snapshot.
 
-Kept stdlib-only and import-free within the runtime package so every
-runtime module can use it without cycles.
+Kept stdlib-only, importing only :mod:`repro.runtime.telemetry` within
+the runtime package, so every runtime module can use it without cycles.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
+
+from repro.runtime.telemetry import Sessions
 
 #: the span kinds, in rough pipeline order
 KINDS = (
@@ -270,23 +272,26 @@ class TraceCollector:
     def from_spec(cls, spec: dict[str, Any]) -> "TraceCollector":
         return cls(**spec)
 
-    def drain(self) -> tuple[list[dict[str, Any]], int]:
+    def drain(self) -> tuple[list[dict[str, Any]], int] | None:
         """Pop every span (as dicts) plus the drop count; reset both.
 
         The worker-side half of the chunked IPC merge: called after each
-        chunk so span payloads stay proportional to chunk size.
+        chunk so span payloads stay proportional to chunk size.  Returns
+        ``None`` when nothing was recorded.
         """
         with self._lock:
+            if not self._spans and not self.dropped:
+                return None
             out = [s.as_dict() for s in self._spans]
             dropped = self.dropped
             self._spans.clear()
             self.dropped = 0
         return out, dropped
 
-    def absorb(
-        self, span_dicts: Iterable[dict[str, Any]], dropped: int = 0
-    ) -> None:
-        """Fold a worker's drained spans into this (parent) collector."""
+    def absorb(self, delta: tuple[list[dict[str, Any]], int]) -> None:
+        """Fold a worker's drained ``(spans, dropped)`` into this
+        (parent) collector."""
+        span_dicts, dropped = delta
         for d in span_dicts:
             self._append(Span.from_dict(d))
         if dropped:
@@ -476,90 +481,33 @@ def bottleneck(summary: dict[str, Any]) -> tuple[str, float] | None:
 # the active session (the --trace CLI path)
 # ---------------------------------------------------------------------------
 
-_ACTIVE: list[TraceCollector] = []
-_ACTIVE_LOCK = threading.Lock()
-_LAST: TraceCollector | None = None
+_SESSIONS = Sessions(TraceCollector)
+
+#: the innermost active session's collector, if any
+active_collector = _SESSIONS.active
+#: the most recently finished session / ``Trace@...``-run collector
+last_trace = _SESSIONS.last
+#: explicit collector, else the active session, else — with ``enabled``
+#: (the ``Trace@...`` knob) — a fresh ``TraceCollector(capacity=...)``
+resolve_collector = _SESSIONS.resolve
 
 
-class trace_session:
+def trace_session(
+    capacity: int = DEFAULT_CAPACITY,
+    collector: TraceCollector | None = None,
+):
     """Context manager: every supervised run inside records spans.
 
     >>> with trace_session() as collector:
     ...     pipe.run(values)
     >>> len(collector.spans()) > 0
     True
-
-    Sessions nest (innermost wins) and are process-wide, not thread-local
-    — stage workers spawned by a traced run must see the collector.
     """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        collector: TraceCollector | None = None,
-    ) -> None:
-        # `or` would discard an explicitly passed *empty* collector
-        # (__len__ makes it falsy); only None means "build one"
-        self.collector = (
-            collector if collector is not None else TraceCollector(capacity)
-        )
-
-    def __enter__(self) -> TraceCollector:
-        with _ACTIVE_LOCK:
-            _ACTIVE.append(self.collector)
-        return self.collector
-
-    def __exit__(self, *exc: Any) -> None:
-        global _LAST
-        with _ACTIVE_LOCK:
-            try:
-                _ACTIVE.remove(self.collector)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            _LAST = self.collector
-
-
-def active_collector() -> TraceCollector | None:
-    """The innermost active session's collector, if any."""
-    with _ACTIVE_LOCK:
-        return _ACTIVE[-1] if _ACTIVE else None
-
-
-def set_last(collector: TraceCollector) -> None:
-    """Publish a collector created outside a session (``Trace@loop``)."""
-    global _LAST
-    with _ACTIVE_LOCK:
-        _LAST = collector
-
-
-def last_trace() -> TraceCollector | None:
-    """The most recently finished session / ``Trace@...``-run collector."""
-    with _ACTIVE_LOCK:
-        return _LAST
-
-
-def resolve_collector(
-    explicit: "TraceCollector | None",
-    enabled: bool = False,
-    capacity: int = DEFAULT_CAPACITY,
-) -> TraceCollector | None:
-    """The collector a run should record into.
-
-    Priority: an explicitly passed collector, then the active session,
-    then — only when the component's ``Trace@...`` knob is on — a fresh
-    collector (published via :func:`set_last`).  Returns ``None`` when
-    tracing is off: the disabled path is one ``is None`` check.
-    """
-    if explicit is not None:
-        return explicit
-    session = active_collector()
-    if session is not None:
-        return session
-    if enabled:
-        collector = TraceCollector(capacity)
-        set_last(collector)
-        return collector
-    return None
+    # `or` would discard an explicitly passed *empty* collector
+    # (__len__ makes it falsy); only None means "build one"
+    return _SESSIONS.session(
+        collector if collector is not None else TraceCollector(capacity)
+    )
 
 
 # ---------------------------------------------------------------------------

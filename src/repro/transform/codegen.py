@@ -161,34 +161,44 @@ def _stage_env_vars(
     return env_vars - carried
 
 
+def _stage_reads(stmts: list[IRStatement]) -> set[str]:
+    """Plain names a stage reads before defining them (its entry reads):
+    values the stage defines before use are stage-local."""
+    from repro.model.dependence import statement_exposed_reads
+
+    reads: set[str] = set()
+    killed: set = set()
+    for st in stmts:
+        exposed, killed = statement_exposed_reads(st, killed)
+        reads |= {r.name for r in exposed if _plain(r.name)}
+    return reads
+
+
 def _stage_fn_source(
     fn_name: str,
     stmts: list[IRStatement],
     env_vars: set[str],
     carried: set[str],
+    needed: set[str],
     as_member: bool,
     indent: str,
 ) -> list[str]:
-    from repro.model.dependence import statement_exposed_reads
-
-    # only reads exposed at stage entry need unpacking: values the stage
-    # defines before use are stage-local
-    reads: set[str] = set()
+    """One stage function; ``needed`` names what a downstream stage or
+    the code after the loop reads from the element environment."""
+    reads = _stage_reads(stmts)
     writes: set[str] = set()
-    killed: set = set()
     for st in stmts:
-        exposed, killed = statement_exposed_reads(st, killed)
-        reads |= {r.name for r in exposed if _plain(r.name)}
-        acc = st.deep_accesses()
-        writes |= {w.name for w in acc.writes if _plain(w.name)}
+        writes |= {w.name for w in st.deep_accesses().writes if _plain(w.name)}
     # carried names the stage rebinds live in the enclosing function frame
     # (the stage is sequential on elements, PLDD, so this is race-free);
     # their per-element value is *also* packed into the environment so a
     # downstream stage reads the value of its own element, not whatever the
-    # writer has moved on to
+    # writer has moved on to.  Only needed names are packed: a name the
+    # stage binds on some paths only (an inner loop that runs zero times)
+    # would raise UnboundLocalError on packing
     nonlocals = sorted(writes & carried)
     unpack = sorted((reads & env_vars) | ((reads & carried) - writes))
-    pack = sorted((writes & env_vars) | (writes & carried))
+    pack = sorted(writes & (env_vars | carried) & needed)
 
     lines = [f"{indent}def {fn_name}(__env):"]
     inner = indent + "    "
@@ -235,17 +245,30 @@ def generate_pipeline_source(func: IRFunction, match: PatternMatch) -> str:
         lines.extend(_unparse(st, ind))
 
     levels = dag.levels()
+    stage_stmts = {
+        si: [by_sid[sid] for sid in partition.stages[si]]
+        for level in levels
+        for si in level
+    }
+    # per level: the names its downstream levels (or the code after the
+    # loop, through the final element's environment) read
+    needed: list[set[str]] = []
+    downstream = set(finals)
+    for level in reversed(levels):
+        needed.insert(0, set(downstream))
+        for si in level:
+            downstream |= _stage_reads(stage_stmts[si])
     level_exprs: list[str] = []
     for li, level in enumerate(levels):
         members = []
         for si in level:
             name = partition.names[si]
-            stmts = [by_sid[sid] for sid in partition.stages[si]]
             fn_name = f"__stage_{name}"
             as_member = len(level) > 1
             lines.extend(
                 _stage_fn_source(
-                    fn_name, stmts, env_vars, carried, as_member, ind
+                    fn_name, stage_stmts[si], env_vars, carried,
+                    needed[li], as_member, ind,
                 )
             )
             repl = "True" if partition.replicable[si] else "False"

@@ -384,7 +384,7 @@ class TestMetricsParameter:
     def test_metrics_off_by_default_in_config(self):
         import repro.runtime.metrics as metrics_mod
 
-        metrics_mod._LAST = None
+        metrics_mod._SESSIONS._last = None
         configured_parallel_for(range(3), square, {"Metrics@loop": False})
         assert last_metrics() is None
 

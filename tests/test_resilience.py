@@ -116,42 +116,6 @@ class TestJournal:
             ChunkJournal.resume(path)
         assert MAGIC == b"RPJ1"
 
-    def test_batch_flush_coalesces_but_close_persists_all(self, tmp_path):
-        path = tmp_path / "run.journal"
-        with ChunkJournal.create(path, flush="batch") as j:
-            j.bind(20, 2, "loop")
-            for k in range(10):
-                j.record(k, k * 2, k * 2 + 2, [k, k])
-        # close flushed whatever the batch threshold was still holding
-        assert ChunkJournal.load(path).completed_indices() == frozenset(
-            range(10)
-        )
-
-    def test_batch_mode_keeps_torn_tail_semantics(self, tmp_path):
-        # coalescing changes *when* records hit the OS, not the framing:
-        # a kill mid-batch still only costs whole trailing records plus
-        # at most one torn frame, which resume truncates away
-        path = tmp_path / "run.journal"
-        with ChunkJournal.create(path, flush="batch") as j:
-            j.bind(10, 2, "loop")
-            j.record(0, 0, 2, [0, 1])
-            j.record(1, 2, 4, [4, 9])
-        intact = path.stat().st_size
-        with open(path, "ab") as fh:
-            fh.write(b"\x42\x00\x00\x00\x99")  # half a frame header
-        j2 = ChunkJournal.resume(path, flush="batch")
-        assert j2.completed_indices() == frozenset({0, 1})
-        assert path.stat().st_size == intact
-        j2.record(2, 4, 6, [16, 25])
-        j2.close()
-        assert ChunkJournal.load(path).completed_indices() == frozenset(
-            {0, 1, 2}
-        )
-
-    def test_flush_mode_validated(self, tmp_path):
-        with pytest.raises(CheckpointError, match="flush mode"):
-            ChunkJournal.create(tmp_path / "x.journal", flush="sometimes")
-
 
 # ---------------------------------------------------------------------------
 # seeded chaos kills

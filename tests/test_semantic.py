@@ -81,6 +81,27 @@ class TestDynamicModel:
         )
         assert m.loop("s1").profile.hottest() == "s1.b0"
 
+    def test_dynamic_analysis_leaves_caller_inputs_unchanged(self):
+        src = (
+            "def scale(a):\n"
+            "    for i in range(len(a)):\n"
+            "        a[i] *= 2\n"
+        )
+        ns: dict = {}
+        exec(src, ns)
+        positional, keyword = [1, 2, 3], [1, 2, 3]
+        for args, kwargs in (((positional,), {}), ((), {"a": keyword})):
+            m = build_semantic_model(
+                parse_function(src), fn=ns["scale"], args=args, kwargs=kwargs
+            )
+            # the profiler and the tracer each ran the body: on shared
+            # inputs the values would have been doubled twice
+            assert m.line_profile is not None
+            assert m.loop("s0").trace is not None
+            assert m.loop("s0").trace.iterations == 3
+        assert positional == [1, 2, 3]
+        assert keyword == [1, 2, 3]
+
     def test_program_callgraph(self):
         prog = SourceProgram.from_source(self.SRC)
         ir = prog.function("f")

@@ -1,6 +1,7 @@
 """Transformation: code generation, tuning files, test generation,
 path coverage."""
 
+import copy
 import json
 import textwrap
 
@@ -93,6 +94,34 @@ class TestPipelineCodegen:
             seen = f(seen, x)
             expect.append(g(seen))
         assert fn([3, 1, 4, 1, 5], f, g) == expect
+
+    def test_stage_packs_only_names_read_downstream(self):
+        # a permissive dominance threshold makes the carried triangular
+        # solve match as a pipeline; stage B binds ``j`` only when its
+        # inner loop runs, so packing it raised UnboundLocalError at i == 0
+        from repro.benchsuite.registry import get_program
+        from repro.patterns import PatternCatalog, PipelinePattern
+
+        bp = get_program("matrixops")
+        prog = bp.parse()
+        catalog = PatternCatalog()
+        catalog.register(PipelinePattern(dominance_threshold=1.01))
+        match = next(
+            m
+            for m in catalog.detect_in_program(prog, runner=bp.make_runner())
+            if (m.function, m.loop_sid) == ("forward_substitution", "s0")
+        )
+        ir = prog.function("forward_substitution")
+        assert "__env['j']" not in generate_parallel_source(ir, match)
+        ns = bp.namespace()
+        fn = compile_parallel(ir, match, dict(ns))
+        args, kwargs = bp.inputs["forward_substitution"]
+        expect = bp.resolve("forward_substitution", ns)(
+            *copy.deepcopy(args), **kwargs
+        )
+        for tuning in (None, {"StageReplication@A": 2}):
+            got = fn(*copy.deepcopy(args), __tuning__=tuning, **kwargs)
+            assert got == expect
 
     def test_generated_source_is_valid_python(self, video_env):
         ir, _, match = detect_one(VIDEO_SRC, prefer="pipeline")
